@@ -1,6 +1,34 @@
 #include "expr/expr.h"
 
+#include "common/hash.h"
+
 namespace qtf {
+
+Expr::Expr(ExprKind kind, ValueType type, std::vector<ExprPtr> children,
+           size_t hash_payload, uint64_t stable_payload)
+    : kind_(kind), type_(type), children_(std::move(children)) {
+  // The recursive definitions of ExprHash and StableExprHash, one level at
+  // a time: children are built first, so their values are already cached.
+  size_t h = static_cast<size_t>(kind) * 0x9e3779b97f4a7c15ULL;
+  h ^= hash_payload;
+  uint64_t stable = Mix64(static_cast<uint64_t>(kind) + 0xe1234);
+  switch (kind) {
+    case ExprKind::kColumnRef:
+    case ExprKind::kConstant:
+    case ExprKind::kComparison:
+    case ExprKind::kArithmetic:
+      stable = HashCombine(stable, stable_payload);
+      break;
+    default:
+      break;
+  }
+  for (const ExprPtr& child : children_) {
+    h = h * 1099511628211ULL + child->hash_;
+    stable = HashCombine(stable, child->stable_hash_);
+  }
+  hash_ = h;
+  stable_hash_ = stable;
+}
 
 const char* CompareOpToSql(CompareOp op) {
   switch (op) {

@@ -55,24 +55,38 @@ class Expr {
   ValueType type() const { return type_; }
   const std::vector<ExprPtr>& children() const { return children_; }
 
+  /// The subtree's ExprHash and StableExprHash (expr/analysis.h), memoized.
+  /// Both are computed in the constructor from the node's own data and its
+  /// children's memoized values, so they are O(1) to read and settled
+  /// before the node can be shared between threads.
+  size_t hash() const { return hash_; }
+  uint64_t stable_hash() const { return stable_hash_; }
+
   /// SQL-ish rendering; `resolver` supplies column names (pass nullptr to
   /// render ids as "c<id>").
   virtual std::string ToString(const ColumnNameResolver* resolver) const = 0;
 
  protected:
-  Expr(ExprKind kind, ValueType type, std::vector<ExprPtr> children)
-      : kind_(kind), type_(type), children_(std::move(children)) {}
+  /// `hash_payload` and `stable_payload` fold the node's own data (column
+  /// id, constant, operator) into the two hashes; kinds without such data
+  /// pass neither.
+  Expr(ExprKind kind, ValueType type, std::vector<ExprPtr> children,
+       size_t hash_payload = 0, uint64_t stable_payload = 0);
 
  private:
   ExprKind kind_;
   ValueType type_;
   std::vector<ExprPtr> children_;
+  size_t hash_;
+  uint64_t stable_hash_;
 };
 
 class ColumnRefExpr final : public Expr {
  public:
   ColumnRefExpr(ColumnId id, ValueType type)
-      : Expr(ExprKind::kColumnRef, type, {}), id_(id) {}
+      : Expr(ExprKind::kColumnRef, type, {},
+             static_cast<size_t>(id) + 0x1234567, static_cast<uint64_t>(id)),
+        id_(id) {}
   ColumnId id() const { return id_; }
   std::string ToString(const ColumnNameResolver* resolver) const override;
 
@@ -83,7 +97,9 @@ class ColumnRefExpr final : public Expr {
 class ConstantExpr final : public Expr {
  public:
   explicit ConstantExpr(Value value)
-      : Expr(ExprKind::kConstant, value.type(), {}), value_(std::move(value)) {}
+      : Expr(ExprKind::kConstant, value.type(), {}, value.Hash(),
+             value.StableHash()),
+        value_(std::move(value)) {}
   const Value& value() const { return value_; }
   std::string ToString(const ColumnNameResolver* resolver) const override;
 
@@ -95,7 +111,8 @@ class ComparisonExpr final : public Expr {
  public:
   ComparisonExpr(CompareOp op, ExprPtr left, ExprPtr right)
       : Expr(ExprKind::kComparison, ValueType::kBool,
-             {std::move(left), std::move(right)}),
+             {std::move(left), std::move(right)},
+             static_cast<size_t>(op) << 8, static_cast<uint64_t>(op)),
         op_(op) {}
   CompareOp op() const { return op_; }
   const ExprPtr& left() const { return children()[0]; }
@@ -132,7 +149,8 @@ class NotExpr final : public Expr {
 class ArithmeticExpr final : public Expr {
  public:
   ArithmeticExpr(ArithOp op, ExprPtr left, ExprPtr right, ValueType type)
-      : Expr(ExprKind::kArithmetic, type, {std::move(left), std::move(right)}),
+      : Expr(ExprKind::kArithmetic, type, {std::move(left), std::move(right)},
+             static_cast<size_t>(op) << 16, static_cast<uint64_t>(op)),
         op_(op) {}
   ArithOp op() const { return op_; }
   std::string ToString(const ColumnNameResolver* resolver) const override;
