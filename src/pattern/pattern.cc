@@ -55,16 +55,19 @@ std::string PatternNode::ToString() const {
   return name + "(" + ::qtf::Join(parts, ", ") + ")";
 }
 
-bool MatchesPattern(const LogicalOp& op, const PatternNode& pattern) {
+bool MatchesPatternRoot(const LogicalOp& op, const PatternNode& pattern) {
   if (pattern.type() == PatternNode::Type::kAny) return true;
   if (op.kind() != pattern.op_kind()) return false;
-  if (pattern.join_kind().has_value()) {
-    if (static_cast<const JoinOp&>(op).join_kind() != *pattern.join_kind()) {
-      return false;
-    }
+  if (pattern.join_kind().has_value() &&
+      static_cast<const JoinOp&>(op).join_kind() != *pattern.join_kind()) {
+    return false;
   }
-  if (op.children().size() != pattern.children().size()) return false;
-  for (size_t i = 0; i < op.children().size(); ++i) {
+  return op.children().size() == pattern.children().size();
+}
+
+bool MatchesPattern(const LogicalOp& op, const PatternNode& pattern) {
+  if (!MatchesPatternRoot(op, pattern)) return false;
+  for (size_t i = 0; i < pattern.children().size(); ++i) {
     if (!MatchesPattern(*op.children()[i], *pattern.children()[i])) {
       return false;
     }

@@ -71,6 +71,11 @@ class PatternNode {
 /// Placeholders match any subtree (including GroupRef leaves).
 bool MatchesPattern(const LogicalOp& op, const PatternNode& pattern);
 
+/// The root level of MatchesPattern alone: `pattern` is a placeholder, or
+/// names `op`'s kind (and join kind, if constrained) with `op`'s arity.
+/// Children are not inspected.
+bool MatchesPatternRoot(const LogicalOp& op, const PatternNode& pattern);
+
 /// True if any subtree of `op` matches `pattern`.
 bool ContainsPattern(const LogicalOp& op, const PatternNode& pattern);
 
