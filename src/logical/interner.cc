@@ -1,5 +1,6 @@
 #include "logical/interner.h"
 
+#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -9,13 +10,15 @@ namespace qtf {
 
 namespace {
 
-/// Epoch tokens are 1-byte allocations that are deliberately never freed:
-/// a node may outlive the interner that tagged it, and if the token's
-/// address were recycled for a later epoch (possibly of a different
-/// interner), the stale tag would masquerade as canonical there. A
-/// process-lifetime unique address makes tag comparisons sound forever,
-/// at the cost of one leaked byte per epoch.
-const void* NewEpochToken() { return new char; }
+/// Epoch ids come from one process-wide counter and are never reused: a
+/// node may outlive the interner that tagged it, and if its id were
+/// recycled for a later epoch (possibly of a different interner), the
+/// stale tag would masquerade as canonical there. 0 means "untagged", so
+/// ids start at 1; 2^64 epochs do not run out.
+uint64_t NewEpochId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -29,7 +32,7 @@ struct NodeInterner::Shard {
 };
 
 NodeInterner::NodeInterner()
-    : shards_(new Shard[kShardCount]), epoch_(NewEpochToken()) {}
+    : shards_(new Shard[kShardCount]), epoch_(NewEpochId()) {}
 
 NodeInterner::~NodeInterner() = default;
 
@@ -39,7 +42,7 @@ LogicalOpPtr NodeInterner::Intern(const LogicalOpPtr& node) {
 }
 
 LogicalOpPtr NodeInterner::InternNode(const LogicalOpPtr& node) {
-  const void* epoch = epoch_.load(std::memory_order_acquire);
+  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   if (node->interner_tag() == epoch) {
     // Already the canonical instance for this epoch.
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -131,7 +134,7 @@ LogicalOpPtr NodeInterner::InternNode(const LogicalOpPtr& node) {
 bool NodeInterner::Equal(const LogicalOpPtr& a, const LogicalOpPtr& b) const {
   if (a.get() == b.get()) return true;
   if (a == nullptr || b == nullptr) return false;
-  const void* epoch = epoch_.load(std::memory_order_acquire);
+  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
   if (a->interner_tag() == epoch && b->interner_tag() == epoch) {
     // Two distinct canonical instances cannot share a structure.
     return false;
@@ -150,7 +153,7 @@ void NodeInterner::Clear() {
     shards_[i].table.clear();
     shards_[i].sweep_threshold = 256;
   }
-  epoch_.store(NewEpochToken(), std::memory_order_release);
+  epoch_.store(NewEpochId(), std::memory_order_release);
   if (auto* g = size_gauge_.load(std::memory_order_relaxed)) g->Set(0);
 }
 

@@ -92,9 +92,9 @@ class NodeInterner {
   static constexpr size_t kShardCount = 16;
   std::unique_ptr<Shard[]> shards_;
 
-  // Current epoch token; its address is stored in each canonical node's
-  // interner_tag. Replaced (never reused — see NewEpochToken) by Clear().
-  std::atomic<const void*> epoch_;
+  // Current epoch id, stored in each canonical node's interner_tag.
+  // Replaced (never reused — see NewEpochId) by Clear().
+  std::atomic<uint64_t> epoch_;
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
