@@ -102,15 +102,29 @@ class Memo {
   struct Signature {
     size_t local_hash;
     std::vector<int> child_groups;
-    bool operator==(const Signature& other) const = default;
+  };
+  /// What lookups probe with: a Signature's fields without copying the
+  /// child-group list (most probes are duplicates and never store one).
+  struct SignatureRef {
+    size_t local_hash;
+    const std::vector<int>& child_groups;
   };
   struct SignatureHash {
-    size_t operator()(const Signature& sig) const {
+    using is_transparent = void;
+    template <typename Sig>
+    size_t operator()(const Sig& sig) const {
       size_t h = sig.local_hash;
       for (int g : sig.child_groups) {
         h = h * 1099511628211ULL + static_cast<size_t>(g);
       }
       return h;
+    }
+  };
+  struct SignatureEqual {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return a.local_hash == b.local_hash && a.child_groups == b.child_groups;
     }
   };
 
@@ -131,7 +145,8 @@ class Memo {
   bool saturated_ = false;
   /// Global dedup: expression signature -> (group, expr index). Hash
   /// collisions resolved by LocalEquals on the stored op.
-  std::unordered_multimap<Signature, std::pair<int, int>, SignatureHash>
+  std::unordered_multimap<Signature, std::pair<int, int>, SignatureHash,
+                          SignatureEqual>
       signature_index_;
   /// Lazily-built shared GroupRef leaves, one slot per group (see
   /// MakeGroupRef). Mutable: memoization only, and a memo is confined to

@@ -61,6 +61,26 @@ TEST_F(PatternTest, TwoLevelPattern) {
   EXPECT_FALSE(MatchesPattern(*join, *select_over_join));
 }
 
+TEST_F(PatternTest, RootMatchIgnoresChildPatterns) {
+  auto join = std::make_shared<JoinOp>(JoinKind::kInner, nation_, region_,
+                                       nullptr);
+  auto select = std::make_shared<SelectOp>(
+      region_, Eq(Col(region_->columns()[0], ValueType::kInt64), LitInt(1)));
+  PatternNodePtr select_over_join =
+      P::Op(LogicalOpKind::kSelect,
+            {P::Join(JoinKind::kInner, P::Any(), P::Any())});
+  // The root fits even though the child (a Get) does not.
+  EXPECT_TRUE(MatchesPatternRoot(*select, *select_over_join));
+  EXPECT_FALSE(MatchesPattern(*select, *select_over_join));
+  EXPECT_FALSE(MatchesPatternRoot(*join, *select_over_join));
+  EXPECT_TRUE(MatchesPatternRoot(*join, *P::Any()));
+  EXPECT_FALSE(MatchesPatternRoot(
+      *join, *P::Join(JoinKind::kLeftSemi, P::Any(), P::Any())));
+  // Arity is part of the root: a unary pattern never fits a join.
+  EXPECT_FALSE(
+      MatchesPatternRoot(*join, *P::Op(LogicalOpKind::kJoin, {P::Any()})));
+}
+
 TEST_F(PatternTest, ContainsPatternSearchesSubtrees) {
   auto join = std::make_shared<JoinOp>(JoinKind::kInner, nation_, region_,
                                        nullptr);
