@@ -102,11 +102,8 @@ Result<net::Frame> ServiceClient::CallRaw(net::MessageType type,
   }
 }
 
-Result<service::ServiceResponse> ServiceClient::Call(
-    const service::ServiceRequest& request) {
-  const net::MessageType type = net::RequestType(request);
-  QTF_ASSIGN_OR_RETURN(net::Frame frame,
-                       CallRaw(type, net::EncodeRequest(request)));
+Status ServiceClient::CheckReply(const net::Frame& frame,
+                                 net::MessageType expected) {
   if (frame.type == net::MessageType::kError) {
     Status error;
     QTF_RETURN_NOT_OK(net::DecodeError(frame.payload, &error));
@@ -115,67 +112,11 @@ Result<service::ServiceResponse> ServiceClient::Call(
     }
     return error;
   }
-  if (frame.type != net::ResponseTypeFor(type)) {
-    return Status::Internal(std::string("unexpected response type ") +
+  if (frame.type != expected) {
+    return Status::Internal("unexpected response type " +
                             net::MessageTypeToString(frame.type));
   }
-  return net::DecodeResponse(frame.type, frame.payload);
-}
-
-Result<service::GenerateResponse> ServiceClient::Generate(
-    const service::GenerateRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::GenerateResponse>(std::move(response));
-}
-
-Result<service::OptimizeResponse> ServiceClient::Optimize(
-    const service::OptimizeRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::OptimizeResponse>(std::move(response));
-}
-
-Result<service::CompressSuiteResponse> ServiceClient::CompressSuite(
-    const service::CompressSuiteRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::CompressSuiteResponse>(std::move(response));
-}
-
-Result<service::CorrectnessResponse> ServiceClient::RunCorrectness(
-    const service::CorrectnessRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::CorrectnessResponse>(std::move(response));
-}
-
-Result<service::SqlResponse> ServiceClient::Sql(
-    const service::SqlRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::SqlResponse>(std::move(response));
-}
-
-Result<service::LoadRulesResponse> ServiceClient::LoadRules(
-    const service::LoadRulesRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::LoadRulesResponse>(std::move(response));
-}
-
-Result<service::ListRulesResponse> ServiceClient::ListRules(
-    const service::ListRulesRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::ListRulesResponse>(std::move(response));
-}
-
-Result<service::MetricsResponse> ServiceClient::Metrics(
-    const service::MetricsRequest& request) {
-  QTF_ASSIGN_OR_RETURN(service::ServiceResponse response,
-                       Call(service::ServiceRequest(request)));
-  return std::get<service::MetricsResponse>(std::move(response));
+  return Status::OK();
 }
 
 }  // namespace client

@@ -177,7 +177,7 @@ Status RuleTestService::ValidateSuiteSpec(const SuiteSpec& spec) const {
   return Status::OK();
 }
 
-Result<GenerateResponse> RuleTestService::DoGenerate(
+Result<GenerateResponse> RuleTestService::Handle(
     const GenerateRequest& request) {
   if (request.targets.empty() || request.targets.size() > 2) {
     return Status::InvalidArgument(
@@ -229,7 +229,7 @@ Result<GenerateResponse> RuleTestService::DoGenerate(
   return response;
 }
 
-Result<OptimizeResponse> RuleTestService::DoOptimize(
+Result<OptimizeResponse> RuleTestService::Handle(
     const OptimizeRequest& request) {
   if (request.min_ops < 1 || request.max_ops < request.min_ops ||
       request.max_ops > 64) {
@@ -318,7 +318,7 @@ Status RuleTestService::BuildCompressedSuite(
   return Status::OK();
 }
 
-Result<CompressSuiteResponse> RuleTestService::DoCompressSuite(
+Result<CompressSuiteResponse> RuleTestService::Handle(
     const CompressSuiteRequest& request) {
   RequestScope scope(request.options, limits(), request_seconds_);
   TestSuite suite;
@@ -339,7 +339,7 @@ Result<CompressSuiteResponse> RuleTestService::DoCompressSuite(
   return response;
 }
 
-Result<CorrectnessResponse> RuleTestService::DoRunCorrectness(
+Result<CorrectnessResponse> RuleTestService::Handle(
     const CorrectnessRequest& request) {
   RequestScope scope(request.options, limits(), request_seconds_);
   TestSuite suite;
@@ -370,7 +370,7 @@ Result<CorrectnessResponse> RuleTestService::DoRunCorrectness(
   return response;
 }
 
-Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
+Result<SqlResponse> RuleTestService::Handle(const SqlRequest& request) {
   if (request.sql.empty()) {
     return Status::InvalidArgument("SqlRequest::sql is empty");
   }
@@ -440,7 +440,7 @@ Result<SqlResponse> RuleTestService::DoSql(const SqlRequest& request) {
   return response;
 }
 
-Result<LoadRulesResponse> RuleTestService::DoLoadRules(
+Result<LoadRulesResponse> RuleTestService::Handle(
     const LoadRulesRequest& request) {
   if (request.text.empty()) {
     return Status::InvalidArgument("LoadRulesRequest::text is empty");
@@ -482,7 +482,7 @@ Result<LoadRulesResponse> RuleTestService::DoLoadRules(
   return response;
 }
 
-Result<ListRulesResponse> RuleTestService::DoListRules(
+Result<ListRulesResponse> RuleTestService::Handle(
     const ListRulesRequest& request) {
   (void)request;
   ListRulesResponse response;
@@ -500,7 +500,7 @@ Result<ListRulesResponse> RuleTestService::DoListRules(
   return response;
 }
 
-Result<MetricsResponse> RuleTestService::DoMetrics(
+Result<MetricsResponse> RuleTestService::Handle(
     const MetricsRequest& request) {
   obs::MetricsSnapshot snapshot = framework_->metrics()->Snapshot();
   MetricsResponse response;
@@ -525,36 +525,8 @@ Result<ServiceResponse> RuleTestService::ExecuteAdmitted(
   }
   Result<ServiceResponse> result = std::visit(
       [this](const auto& typed) -> Result<ServiceResponse> {
-        using T = std::decay_t<decltype(typed)>;
-        if constexpr (std::is_same_v<T, GenerateRequest>) {
-          QTF_ASSIGN_OR_RETURN(GenerateResponse response, DoGenerate(typed));
-          return ServiceResponse(std::move(response));
-        } else if constexpr (std::is_same_v<T, OptimizeRequest>) {
-          QTF_ASSIGN_OR_RETURN(OptimizeResponse response, DoOptimize(typed));
-          return ServiceResponse(std::move(response));
-        } else if constexpr (std::is_same_v<T, CompressSuiteRequest>) {
-          QTF_ASSIGN_OR_RETURN(CompressSuiteResponse response,
-                               DoCompressSuite(typed));
-          return ServiceResponse(std::move(response));
-        } else if constexpr (std::is_same_v<T, CorrectnessRequest>) {
-          QTF_ASSIGN_OR_RETURN(CorrectnessResponse response,
-                               DoRunCorrectness(typed));
-          return ServiceResponse(std::move(response));
-        } else if constexpr (std::is_same_v<T, SqlRequest>) {
-          QTF_ASSIGN_OR_RETURN(SqlResponse response, DoSql(typed));
-          return ServiceResponse(std::move(response));
-        } else if constexpr (std::is_same_v<T, LoadRulesRequest>) {
-          QTF_ASSIGN_OR_RETURN(LoadRulesResponse response,
-                               DoLoadRules(typed));
-          return ServiceResponse(std::move(response));
-        } else if constexpr (std::is_same_v<T, ListRulesRequest>) {
-          QTF_ASSIGN_OR_RETURN(ListRulesResponse response,
-                               DoListRules(typed));
-          return ServiceResponse(std::move(response));
-        } else {
-          QTF_ASSIGN_OR_RETURN(MetricsResponse response, DoMetrics(typed));
-          return ServiceResponse(std::move(response));
-        }
+        QTF_ASSIGN_OR_RETURN(auto response, Handle(typed));
+        return ServiceResponse(std::move(response));
       },
       request);
   if (!result.ok()) request_errors_->Increment();
@@ -573,53 +545,6 @@ Result<ServiceResponse> RuleTestService::Execute(
         " requests in flight); retry with backoff");
   }
   return ExecuteAdmitted(request);
-}
-
-Result<GenerateResponse> RuleTestService::Generate(
-    const GenerateRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<GenerateResponse>(std::move(response));
-}
-
-Result<OptimizeResponse> RuleTestService::Optimize(
-    const OptimizeRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<OptimizeResponse>(std::move(response));
-}
-
-Result<CompressSuiteResponse> RuleTestService::CompressSuite(
-    const CompressSuiteRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<CompressSuiteResponse>(std::move(response));
-}
-
-Result<CorrectnessResponse> RuleTestService::RunCorrectness(
-    const CorrectnessRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<CorrectnessResponse>(std::move(response));
-}
-
-Result<SqlResponse> RuleTestService::Sql(const SqlRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<SqlResponse>(std::move(response));
-}
-
-Result<LoadRulesResponse> RuleTestService::LoadRules(
-    const LoadRulesRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<LoadRulesResponse>(std::move(response));
-}
-
-Result<ListRulesResponse> RuleTestService::ListRules(
-    const ListRulesRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<ListRulesResponse>(std::move(response));
-}
-
-Result<MetricsResponse> RuleTestService::Metrics(
-    const MetricsRequest& request) {
-  QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
-  return std::get<MetricsResponse>(std::move(response));
 }
 
 }  // namespace service

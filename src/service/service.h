@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <shared_mutex>
+#include <utility>
+#include <variant>
 
 #include "service/admission.h"
 #include "service/api.h"
@@ -15,8 +17,8 @@ namespace service {
 /// The rule-testing framework as a multi-tenant service: one resident
 /// RuleTestFramework executing plain request/response structs (service/api.h)
 /// behind admission control, budgets, deadlines and cancellation. Callable
-/// in-process (tests and embedders call the typed methods directly) and over
-/// the wire identically — the TCP transport (src/net/) decodes a request,
+/// in-process (tests and embedders use the typed Call) and over the wire
+/// identically — the TCP transport (src/net/) decodes a request,
 /// runs it through Execute, and encodes whatever comes back, so a remote
 /// call returns byte-identical payloads to a local one for the same seeds.
 ///
@@ -40,30 +42,16 @@ class RuleTestService {
   /// the resident framework.
   static Result<std::unique_ptr<RuleTestService>> Create(Config config);
 
-  /// Typed entry points. Each admits through the gate (shedding with
-  /// kResourceExhausted when max_queue_depth requests are in flight),
+  /// Typed entry point: Execute, unwrapped to the response answering
+  /// `Request` — Call(OptimizeRequest{...}) is a Result<OptimizeResponse>.
+  /// Admits through the gate (shedding with kResourceExhausted when
+  /// max_queue_depth requests are in flight; MetricsRequest bypasses it),
   /// resolves budget/deadline fallbacks from limits(), and executes.
-  Result<GenerateResponse> Generate(const GenerateRequest& request);
-  Result<OptimizeResponse> Optimize(const OptimizeRequest& request);
-  Result<CompressSuiteResponse> CompressSuite(
-      const CompressSuiteRequest& request);
-  Result<CorrectnessResponse> RunCorrectness(
-      const CorrectnessRequest& request);
-  /// SQL text in, bound-tree facts (and optionally optimization /
-  /// correctness results) out — the SQL frontend behind the service API.
-  Result<SqlResponse> Sql(const SqlRequest& request);
-  /// Compile .qtr rule specs (src/ruledsl/) and register them into the
-  /// resident registry — the discovered-rule ingestion path (ROADMAP
-  /// item 4). Registration invalidates the plan cache (cached results were
-  /// computed under the smaller rule set) and extends the per-rule metric
-  /// families. All-or-nothing: any compile error or name collision
-  /// registers nothing.
-  Result<LoadRulesResponse> LoadRules(const LoadRulesRequest& request);
-  /// Introspect the resident registry (id, name, type, pattern, origin).
-  Result<ListRulesResponse> ListRules(const ListRulesRequest& request);
-  /// Metrics bypass admission entirely: the registry must stay observable
-  /// exactly when the service is saturated and shedding.
-  Result<MetricsResponse> Metrics(const MetricsRequest& request);
+  template <class Request>
+  Result<typename Request::Response> Call(const Request& request) {
+    QTF_ASSIGN_OR_RETURN(ServiceResponse response, Execute(request));
+    return std::get<typename Request::Response>(std::move(response));
+  }
 
   /// Variant entry point for transports and generic callers: admits (except
   /// MetricsRequest), then dispatches.
@@ -94,23 +82,33 @@ class RuleTestService {
                          const char* field) const;
   Status ValidateSuiteSpec(const SuiteSpec& spec) const;
   /// Generates the suite and compresses it — the shared front half of
-  /// CompressSuite and RunCorrectness. On success `suite` and `solution`
-  /// are filled.
+  /// the CompressSuite and Correctness requests. On success `suite` and
+  /// `solution` are filled.
   Status BuildCompressedSuite(const SuiteSpec& spec,
                               CompressionAlgorithm algorithm,
                               bool exploit_monotonicity, RequestScope* scope,
                               TestSuite* suite, CompressionSolution* solution);
 
-  Result<GenerateResponse> DoGenerate(const GenerateRequest& request);
-  Result<OptimizeResponse> DoOptimize(const OptimizeRequest& request);
-  Result<CompressSuiteResponse> DoCompressSuite(
-      const CompressSuiteRequest& request);
-  Result<CorrectnessResponse> DoRunCorrectness(
-      const CorrectnessRequest& request);
-  Result<SqlResponse> DoSql(const SqlRequest& request);
-  Result<LoadRulesResponse> DoLoadRules(const LoadRulesRequest& request);
-  Result<ListRulesResponse> DoListRules(const ListRulesRequest& request);
-  Result<MetricsResponse> DoMetrics(const MetricsRequest& request);
+  // One overload per request type; ExecuteAdmitted visits into them.
+  Result<GenerateResponse> Handle(const GenerateRequest& request);
+  Result<OptimizeResponse> Handle(const OptimizeRequest& request);
+  Result<CompressSuiteResponse> Handle(const CompressSuiteRequest& request);
+  Result<CorrectnessResponse> Handle(const CorrectnessRequest& request);
+  /// SQL text in, bound-tree facts (and optionally optimization /
+  /// correctness results) out — the SQL frontend behind the service API.
+  Result<SqlResponse> Handle(const SqlRequest& request);
+  /// Compiles .qtr rule specs (src/ruledsl/) and registers them into the
+  /// resident registry — the discovered-rule ingestion path. Registration
+  /// invalidates the plan cache (cached results were computed under the
+  /// smaller rule set) and extends the per-rule metric families.
+  /// All-or-nothing: any compile error or name collision registers
+  /// nothing.
+  Result<LoadRulesResponse> Handle(const LoadRulesRequest& request);
+  /// The resident registry: id, name, type, pattern, origin.
+  Result<ListRulesResponse> Handle(const ListRulesRequest& request);
+  /// Runs without an admission ticket: the registry must stay observable
+  /// exactly when the service is saturated and shedding.
+  Result<MetricsResponse> Handle(const MetricsRequest& request);
 
   std::unique_ptr<RuleTestFramework> framework_;
   /// Shares the framework's catalog, interner and metrics; thread-safe, so

@@ -264,8 +264,8 @@ TEST_F(RuleDslEndToEndDiffTest, OptimizerCallCountsMatchExactly) {
   request.suite.n_rules = 6;
   request.suite.k = 2;
   request.suite.seed = 11;
-  auto baseline = builtin_->CompressSuite(request);
-  auto twin = twin_->CompressSuite(request);
+  auto baseline = builtin_->Call(request);
+  auto twin = twin_->Call(request);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
   EXPECT_EQ(baseline->optimizer_calls, twin->optimizer_calls);

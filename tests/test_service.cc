@@ -80,7 +80,7 @@ TEST(ServiceTest, GenerateAndOptimizeWork) {
   service::GenerateRequest generate;
   generate.targets = {0};
   generate.seed = 3;
-  auto generated = service->Generate(generate);
+  auto generated = service->Call(generate);
   ASSERT_TRUE(generated.ok()) << generated.status().ToString();
   EXPECT_TRUE(generated->success);
   EXPECT_FALSE(generated->sql.empty());
@@ -88,7 +88,7 @@ TEST(ServiceTest, GenerateAndOptimizeWork) {
 
   service::OptimizeRequest optimize;
   optimize.seed = 5;
-  auto optimized = service->Optimize(optimize);
+  auto optimized = service->Call(optimize);
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
   EXPECT_FALSE(optimized->sql.empty());
   EXPECT_GT(optimized->group_count, 0);
@@ -99,7 +99,7 @@ TEST(ServiceTest, RequestValidationNamesTheField) {
   auto service = MakeService();
   service::GenerateRequest bad_target;
   bad_target.targets = {9999};
-  auto result = service->Generate(bad_target);
+  auto result = service->Call(bad_target);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("targets"), std::string::npos);
@@ -107,7 +107,7 @@ TEST(ServiceTest, RequestValidationNamesTheField) {
   service::OptimizeRequest bad_ops;
   bad_ops.min_ops = 5;
   bad_ops.max_ops = 2;
-  auto ops_result = service->Optimize(bad_ops);
+  auto ops_result = service->Call(bad_ops);
   ASSERT_FALSE(ops_result.ok());
   EXPECT_EQ(ops_result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -121,7 +121,7 @@ TEST(ServiceTest, BudgetExhaustionDegradesGracefully) {
   // A one-group memo budget cannot fit any real search: the optimizer
   // must truncate exploration and still return its best plan.
   request.options.budget.max_memo_groups = 1;
-  auto response = service->Optimize(request);
+  auto response = service->Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_TRUE(response->budget_exhausted);
   EXPECT_FALSE(response->sql.empty());
@@ -135,7 +135,7 @@ TEST(ServiceTest, PreCancelledRequestReturnsCancelled) {
   request.suite.n_rules = 2;
   request.suite.k = 1;
   request.options.cancel = source.token();
-  auto response = service->RunCorrectness(request);
+  auto response = service->Call(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kCancelled);
 }
@@ -154,7 +154,7 @@ TEST(ServiceTest, MidRequestCancellationStopsTheRequest) {
   Result<service::CorrectnessResponse> response =
       Status::Internal("not run");
   std::thread worker([&] {
-    response = service->RunCorrectness(request);
+    response = service->Call(request);
     done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -177,7 +177,7 @@ TEST(ServiceTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   request.options.deadline_seconds = 1e-9;
   // The deadline is minutes shorter than suite generation + compression +
   // execution; some phase boundary must observe it.
-  auto response = service->RunCorrectness(request);
+  auto response = service->Call(request);
   if (!response.ok()) {
     EXPECT_EQ(response.status().code(), StatusCode::kDeadlineExceeded)
         << response.status().ToString();
@@ -193,20 +193,20 @@ TEST(ServiceTest, ShedsWithResourceExhaustedWhenQueueIsFull) {
   ASSERT_TRUE(slot2);
 
   service::OptimizeRequest request;
-  auto shed = service->Optimize(request);
+  auto shed = service->Call(request);
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_GT(service->metrics()->counter("qtf.service.sheds")->Value(), 0);
 
   // Metrics bypass admission: observability survives saturation.
-  auto metrics = service->Metrics(service::MetricsRequest{});
+  auto metrics = service->Call(service::MetricsRequest{});
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_NE(metrics->body.find("qtf.service.sheds"), std::string::npos);
 
   // Slots released -> requests flow again.
   slot1.Release();
   slot2.Release();
-  auto ok_again = service->Optimize(request);
+  auto ok_again = service->Call(request);
   EXPECT_TRUE(ok_again.ok()) << ok_again.status().ToString();
 }
 
@@ -227,7 +227,7 @@ TEST(ServiceLoadRulesTest, LoadsRegistersAndExercisesARuntimeRule) {
 
   service::LoadRulesRequest load;
   load.text = kProbeRule;
-  auto loaded = service->LoadRules(load);
+  auto loaded = service->Call(load);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->compiled, 1);
   ASSERT_EQ(loaded->ids.size(), 1u);
@@ -238,7 +238,7 @@ TEST(ServiceLoadRulesTest, LoadsRegistersAndExercisesARuntimeRule) {
   EXPECT_GT(service->metrics()->counter("qtf.dsl.loaded")->Value(), 0);
 
   // ListRules reports it with origin=dsl next to the builtins.
-  auto listed = service->ListRules(service::ListRulesRequest{});
+  auto listed = service->Call(service::ListRulesRequest{});
   ASSERT_TRUE(listed.ok()) << listed.status().ToString();
   ASSERT_EQ(listed->rules.size(), static_cast<size_t>(before) + 1);
   const service::RuleInfo& info = listed->rules.back();
@@ -255,7 +255,7 @@ TEST(ServiceLoadRulesTest, LoadsRegistersAndExercisesARuntimeRule) {
   sql.sql = "SELECT n_name FROM nation WHERE n_nationkey < 10 AND "
             "n_regionkey < 3";
   sql.mode = service::SqlMode::kOptimize;
-  auto optimized = service->Sql(sql);
+  auto optimized = service->Call(sql);
   ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
   EXPECT_NE(std::find(optimized->exercised_rules.begin(),
                       optimized->exercised_rules.end(), loaded->ids[0]),
@@ -263,7 +263,7 @@ TEST(ServiceLoadRulesTest, LoadsRegistersAndExercisesARuntimeRule) {
       << "runtime-loaded rule was not exercised";
 
   sql.mode = service::SqlMode::kCorrectness;
-  auto correctness = service->Sql(sql);
+  auto correctness = service->Call(sql);
   ASSERT_TRUE(correctness.ok()) << correctness.status().ToString();
   EXPECT_GT(correctness->plans_executed, 0);
   EXPECT_TRUE(correctness->violations.empty());
@@ -278,7 +278,7 @@ TEST(ServiceLoadRulesTest, RejectsCollisionsMalformedAndEmptySpecs) {
     service::LoadRulesRequest load;
     load.text = "rule JoinCommutativity { match t: join(inner, $A, $B) "
                 "rewrite join(inner, $B, $A, pred(t)) }";
-    auto result = service->LoadRules(load);
+    auto result = service->Call(load);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kAlreadyExists);
     EXPECT_NE(result.status().message().find("JoinCommutativity"),
@@ -288,7 +288,7 @@ TEST(ServiceLoadRulesTest, RejectsCollisionsMalformedAndEmptySpecs) {
     // Malformed spec: kInvalidArgument carrying its line:col position.
     service::LoadRulesRequest load;
     load.text = "rule Broken {\n  match s: select($X)\n  rewrite $Y\n}";
-    auto result = service->LoadRules(load);
+    auto result = service->Call(load);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
     EXPECT_NE(result.status().message().find("3:"), std::string::npos)
@@ -296,7 +296,7 @@ TEST(ServiceLoadRulesTest, RejectsCollisionsMalformedAndEmptySpecs) {
   }
   {
     service::LoadRulesRequest empty;
-    auto result = service->LoadRules(empty);
+    auto result = service->Call(empty);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   }
@@ -305,7 +305,7 @@ TEST(ServiceLoadRulesTest, RejectsCollisionsMalformedAndEmptySpecs) {
     service::LoadRulesRequest load;
     load.text = kProbeRule;
     load.dry_run = true;
-    auto result = service->LoadRules(load);
+    auto result = service->Call(load);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->compiled, 1);
     EXPECT_TRUE(result->ids.empty());
@@ -329,7 +329,7 @@ TEST(ServiceLoadRulesTest, LoadRulesIsSafeUnderConcurrentTraffic) {
                   " { match s: select($X) when min_conjuncts(pred(s), 2) "
                   "rewrite select(select($X, tail(pred(s))), "
                   "head(pred(s))) }";
-      if (!service->LoadRules(load).ok()) failures.fetch_add(1);
+      if (!service->Call(load).ok()) failures.fetch_add(1);
     }
   });
   std::vector<std::thread> traffic;
@@ -338,7 +338,7 @@ TEST(ServiceLoadRulesTest, LoadRulesIsSafeUnderConcurrentTraffic) {
       for (int i = 0; i < 6; ++i) {
         service::OptimizeRequest request;
         request.seed = static_cast<uint64_t>(t * 100 + i + 1);
-        if (!service->Optimize(request).ok()) failures.fetch_add(1);
+        if (!service->Call(request).ok()) failures.fetch_add(1);
       }
     });
   }
@@ -379,7 +379,7 @@ TEST(ServiceServerTest, ConcurrentConnectionsGetByteIdenticalResponses) {
       request.seed = 100 + static_cast<uint64_t>(i);
       auto frame = client_or.value()->CallRaw(
           net::MessageType::kOptimizeRequest,
-          net::EncodeOptimizeRequest(request));
+          net::Encode(request));
       if (!frame.ok() ||
           frame->type != net::MessageType::kOptimizeResponse) {
         ++failures;
@@ -394,9 +394,9 @@ TEST(ServiceServerTest, ConcurrentConnectionsGetByteIdenticalResponses) {
   for (int i = 0; i < kConnections; ++i) {
     service::OptimizeRequest request;
     request.seed = 100 + static_cast<uint64_t>(i);
-    auto response = local->Optimize(request);
+    auto response = local->Call(request);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    local_payload[i] = net::EncodeOptimizeResponse(*response);
+    local_payload[i] = net::Encode(*response);
     EXPECT_EQ(remote_payload[i], local_payload[i])
         << "response for seed " << request.seed
         << " differs between transports";
@@ -457,7 +457,7 @@ TEST(ServiceServerTest, SurvivesGarbageFramesAndKeepsServing) {
       client::ServiceClient::Connect("127.0.0.1", server->port()).value();
   service::OptimizeRequest request;
   request.seed = 21;
-  auto response = client->Optimize(request);
+  auto response = client->Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_FALSE(response->sql.empty());
   server->Shutdown();
@@ -483,7 +483,7 @@ TEST(ServiceServerTest, MalformedPayloadGetsErrorFrameAndConnectionSurvives) {
   // Same connection keeps working afterwards.
   service::OptimizeRequest request;
   request.seed = 2;
-  auto response = client->Optimize(request);
+  auto response = client->Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   server->Shutdown();
 }
@@ -500,16 +500,16 @@ TEST(ServiceServerTest, ServerShedsOverWireWhenGateIsFull) {
   auto slot = service->admission()->TryEnter();
   ASSERT_TRUE(slot);
   service::OptimizeRequest request;
-  auto shed = client->Optimize(request);
+  auto shed = client->Call(request);
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
 
   // Metrics bypass the gate even over the wire.
-  auto metrics = client->Metrics(service::MetricsRequest{});
+  auto metrics = client->Call(service::MetricsRequest{});
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
 
   slot.Release();
-  auto ok_again = client->Optimize(request);
+  auto ok_again = client->Call(request);
   ASSERT_TRUE(ok_again.ok()) << ok_again.status().ToString();
   server->Shutdown();
 }

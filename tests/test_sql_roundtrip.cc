@@ -126,7 +126,7 @@ TEST(SqlRoundTripTest, HandWrittenTpchQueryGoesEndToEndThroughTheService) {
       "GROUP BY n_name";
   request.mode = service::SqlMode::kCorrectness;
 
-  auto response = service->Sql(request);
+  auto response = service->Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_NE(response->fingerprint, 0u);
   EXPECT_GT(response->operator_count, 0);
@@ -139,7 +139,7 @@ TEST(SqlRoundTripTest, HandWrittenTpchQueryGoesEndToEndThroughTheService) {
   // the same fingerprint (parse-only is enough for that check).
   service::SqlRequest again;
   again.sql = response->canonical_sql;
-  auto rebound = service->Sql(again);
+  auto rebound = service->Call(again);
   ASSERT_TRUE(rebound.ok()) << rebound.status().ToString();
   EXPECT_EQ(rebound->fingerprint, response->fingerprint);
   EXPECT_EQ(rebound->canonical_sql, response->canonical_sql);
@@ -150,7 +150,7 @@ TEST(SqlRoundTripTest, ParseOnlyModeLeavesOptimizeFieldsZero) {
   auto service = service::RuleTestService::Create(std::move(config)).value();
   service::SqlRequest request;
   request.sql = "SELECT r_name FROM region";
-  auto response = service->Sql(request);
+  auto response = service->Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_NE(response->fingerprint, 0u);
   EXPECT_EQ(response->cost, 0.0);
@@ -158,7 +158,7 @@ TEST(SqlRoundTripTest, ParseOnlyModeLeavesOptimizeFieldsZero) {
   EXPECT_TRUE(response->exercised_rules.empty());
   EXPECT_EQ(response->plans_executed, 0);
 
-  auto bad = service->Sql(service::SqlRequest{"SELECT FROM", {}, {}});
+  auto bad = service->Call(service::SqlRequest{"SELECT FROM", {}, {}});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
