@@ -9,13 +9,18 @@
 //   qtfd [--host 127.0.0.1] [--port 7433] [--workers 4] [--threads N]
 //        [--queue-depth 128] [--plan-cache 4096] [--tpch-scale 1]
 //        [--fault-seed 0] [--default-deadline SECONDS]
+//
+// Numeric flags take whole non-negative numbers (a port at most 65535);
+// anything else exits 2 before a server starts.
 
 #include <csignal>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "net/server.h"
@@ -36,10 +41,23 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-bool ParseLong(const char* s, long* out) {
+/// Parses a whole decimal string within [0, hi].
+bool ParseInRange(const char* s, long hi, long* out) {
   char* end = nullptr;
+  errno = 0;
   *out = std::strtol(s, &end, 10);
-  return end != s && *end == '\0';
+  return end != s && *end == '\0' && errno == 0 && *out >= 0 && *out <= hi;
+}
+
+/// Largest value a numeric flag accepts: a port is 16 bits, the size and
+/// seed flags take a long, the rest are ints.
+long MaxValue(const std::string& flag) {
+  if (flag == "--port") return 65535;
+  if (flag == "--queue-depth" || flag == "--plan-cache" ||
+      flag == "--fault-seed") {
+    return std::numeric_limits<long>::max();
+  }
+  return std::numeric_limits<int>::max();
 }
 
 }  // namespace
@@ -57,7 +75,8 @@ int main(int argc, char** argv) {
       Usage(argv[0]);
       return 0;
     }
-    if (value == nullptr || (arg != "--host" && !ParseLong(value, &n))) {
+    if (value == nullptr ||
+        (arg != "--host" && !ParseInRange(value, MaxValue(arg), &n))) {
       std::fprintf(stderr, "qtfd: bad or missing value for %s\n", arg.c_str());
       Usage(argv[0]);
       return 2;
