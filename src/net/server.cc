@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -58,9 +59,12 @@ ServiceServer::ServiceServer(service::RuleTestService* service,
     : service_(service), config_(std::move(config)) {
   // Queue sized so every admitted request fits without Submit() ever
   // blocking a session reader: the admission gate bounds in-flight
-  // requests at max_queue_depth before anything is enqueued.
-  const size_t queue_capacity = service_->limits().max_queue_depth +
-                                static_cast<size_t>(config_.workers) + 8;
+  // requests at max_queue_depth before anything is enqueued. Saturates
+  // rather than wrapping for a depth near SIZE_MAX.
+  const size_t depth = service_->limits().max_queue_depth;
+  const size_t slack = static_cast<size_t>(config_.workers) + 8;
+  const size_t queue_capacity =
+      depth > SIZE_MAX - slack ? SIZE_MAX : depth + slack;
   pool_ = std::make_unique<ThreadPool>(config_.workers, queue_capacity);
   obs::MetricsRegistry* metrics = service_->metrics();
   active_sessions_ = metrics->gauge("qtf.service.active_sessions");
